@@ -52,7 +52,6 @@ from .ocrp import (
     ContinuationStats,
     MisspecConfig,
     MisspecProcess,
-    OcrpState,
     continue_ocrp,
     misspec_simulate,
     ordered_step_probs,

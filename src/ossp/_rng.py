@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-Seed = "int | Sequence[int]"
 
 
 def rng_from(seed) -> np.random.Generator:

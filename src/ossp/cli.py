@@ -3,7 +3,9 @@
 Subcommands: simulate, fit, predict, study, crossval, probability-oldest.
 CSV in/out with stable schemas; all randomness flows from --seed, so equal
 invocations are byte-identical. OSSP_THREADS caps study parallelism. Exit
-codes: 0 success, 2 malformed input, 3 degenerate sample.
+codes: 0 success; 2 invalid input (a malformed or missing CSV, or an option
+or record value outside its domain), with a one-line ``ossp: ...`` message on
+stderr; 3 a degenerate sample (too few records to fit or to split).
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import numpy as np
 from . import studies
 from .estimate import DEFAULT_GRID_D, DegenerateSample, METHOD_NAMES, fit, fit_all
 from .partition import (
-    EmptyInput,
     MalformedCsv,
     PypParams,
-    WeightConflict,
     read_records_csv,
     reduce_records,
     write_records_csv,
@@ -256,12 +256,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (MalformedCsv, EmptyInput, WeightConflict, FileNotFoundError) as exc:
-        print(f"ossp: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegenerateSample as exc:
+    except DegenerateSample as exc:  # a ValueError too, so caught first
         print(f"ossp: degenerate sample: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"ossp: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entrypoint() -> None:

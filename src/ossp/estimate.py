@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
-from .laws import expected_Kn, log_eppf, log_ordered_eppf
+from .laws import _log_choose, _log_first_block, expected_Kn, log_eppf, log_ordered_eppf
 from .partition import ObservedSample, PypParams, prefix_stats
 
 METHOD_NAMES = ("stdPYP", "ordPYP", "ordDP", "lsK", "lsX1")
@@ -150,13 +149,9 @@ def _maximize_theta_only(objective):
 
 def expected_M1(n: int, params: PypParams) -> float:
     """E[M_{1,n}] by exact summation of the first-order frequency law."""
-    a, t = params.alpha, params.theta
-    m1 = np.arange(1, n + 1, dtype=np.float64)
-    logp = (gammaln(n + 1) - gammaln(m1 + 1) - gammaln(n - m1 + 1)
-            + np.log(a * (n - m1) + t * m1) - math.log(n)
-            - (gammaln(t + n) - gammaln(t + n - m1))
-            + gammaln(m1 - a) - gammaln(1.0 - a))
-    return float(m1 @ np.exp(logp))
+    w = np.arange(1, n + 1, dtype=np.float64)
+    logp = _log_choose(n, w) + _log_first_block(n, w, params.alpha, params.theta)
+    return float(w @ np.exp(logp))
 
 
 def fit_mle_std(sample: ObservedSample) -> FitResult:

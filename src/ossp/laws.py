@@ -1,5 +1,19 @@
 """Exact prior laws: EPPF, ordered EPPF, species counts, order-1 probability,
-and the joint law of the first r order frequencies."""
+and the joint law of the first r order frequencies.
+
+The laws of the first r order frequencies, here and in `posterior`, are
+built from one factor. With r_j = m_j + ... + m_k the ordered EPPF is
+prod_j (theta m_j + alpha r_{j+1}) / r_j * (1-alpha)_(m_j - 1) / (theta)_(n),
+and its factor j = 1 splits off: given the order-1 block, the rest of the
+partition is again ordered PYP(alpha, theta). So a given w-subset of N points
+is the order-1 block with probability
+(alpha (N-w) + theta w) / N * (1-alpha)_(w-1) / (theta+N-w)_(w)
+(`_log_first_block`); the first r order frequencies are a multinomial times r
+such blocks, each split off what the blocks before it left, and the posterior
+laws are the same product at the enlarged size n+m. The law of K_n
+(`_log_dist_Kn`) and the expected number of new species
+(`_expected_new_species`) are likewise written once.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import _kernels
 from .partition import PypParams
@@ -56,16 +71,20 @@ def log_ordered_eppf(freqs: Sequence[int], params: PypParams) -> float:
     return acc
 
 
-def dist_Kn(n: int, params: PypParams) -> np.ndarray:
-    """Pr[K_n = k] for k = 0..n (entry 0 is 0); sums to 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _log_dist_Kn(n: int, params: PypParams) -> np.ndarray:
+    """log Pr[K_n = k] for k = 0..n; n = 0 gives [0.0] (K_0 = 0 surely)."""
     a, t = params.alpha, params.theta
     row = log_gen_factorial_scaled_row(n, a)
     i = np.arange(n, dtype=np.float64)
     logpref = np.concatenate(([0.0], np.cumsum(np.log(t + a * i))))
-    logp = logpref + row - log_rising(t, n)
-    out = np.exp(logp)
+    return logpref + row - log_rising(t, n)
+
+
+def dist_Kn(n: int, params: PypParams) -> np.ndarray:
+    """Pr[K_n = k] for k = 0..n (entry 0 is 0); sums to 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    out = np.exp(_log_dist_Kn(n, params))
     out[0] = 0.0
     return out
 
@@ -86,17 +105,27 @@ def dist_Kmn(m: int, n: int, k: int, params: PypParams) -> np.ndarray:
     return np.exp(logpref + row - log_rising(t + n, m))
 
 
+def _expected_new_species(m: int, n: int, k: int, params: PypParams) -> float:
+    """E[K_m^(n) | K_n = k] = (k + theta/alpha) ((theta+n+alpha)_(m)/(theta+n)_(m) - 1).
+
+    The log of the ratio is summed as log1p terms, so the closed form keeps
+    its accuracy as alpha -> 0; alpha = 0 is the harmonic sum. n = k = 0
+    gives E[K_m].
+    """
+    if m == 0:
+        return 0.0
+    a, t = params.alpha, params.theta
+    i = np.arange(m, dtype=np.float64)
+    if a == 0.0:
+        return float((t / (t + n + i)).sum())
+    return (k + t / a) * math.expm1(float(np.log1p(a / (t + n + i)).sum()))
+
+
 def expected_Kn(n: int, params: PypParams) -> float:
     """E[K_n] in closed form (harmonic sum at alpha = 0)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    a, t = params.alpha, params.theta
-    if a == 0.0:
-        i = np.arange(n, dtype=np.float64)
-        return float(np.sum(t / (t + i)))
-    return t / a * math.expm1(log_rising(t + a, n) - log_rising(t, n))
+    return _expected_new_species(n, 0, 0, params)
 
 
 def expected_Kmn(m: int, n: int, k: int, params: PypParams) -> float:
@@ -105,13 +134,7 @@ def expected_Kmn(m: int, n: int, k: int, params: PypParams) -> float:
         raise ValueError(f"m must be >= 0, got {m}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if m == 0:
-        return 0.0
-    a, t = params.alpha, params.theta
-    if a == 0.0:
-        i = np.arange(m, dtype=np.float64)
-        return float(np.sum(t / (t + n + i)))
-    return (k + t / a) * math.expm1(log_rising(t + n + a, m) - log_rising(t + n, m))
+    return _expected_new_species(m, n, k, params)
 
 
 def prob_oldest(i: int, n: int, params: PypParams) -> float:
@@ -166,17 +189,26 @@ def _log_multinomial(n: int, parts) -> float:
     return acc
 
 
-def _log_crn(N: int, prefix, alpha: float, theta: float) -> float:
-    """log of the order-prefix constant: prod_j [alpha(N-|m|_{1:j}) + theta m_j]
-    / (N - |m|_{1:j-1}) * (1-alpha)_(m_j - 1)."""
+def _log_choose(n, j):
+    """log binomial coefficient, vectorised over j."""
+    return gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+
+
+def _log_first_block(N: int, w, alpha: float, theta: float):
+    """log Pr[a given w-subset of N points is the order-1 block], vectorised over w."""
+    return (np.log(alpha * (N - w) + theta * w) - math.log(N)
+            - (gammaln(theta + N) - gammaln(theta + N - w))
+            + gammaln(w - alpha) - gammaln(1.0 - alpha))
+
+
+def _log_blocks(N: int, prefix, params: PypParams) -> float:
+    """log Pr[the given subsets of sizes prefix are the blocks of orders 1..r of
+    N points]: each block is split off the points the blocks before it left."""
     acc = 0.0
-    cum = 0
-    for mj in prefix:
-        prev = cum
-        cum += mj
-        acc += math.log(alpha * (N - cum) + theta * mj) - math.log(N - prev)
-        acc += log_rising(1.0 - alpha, mj - 1)
-    return acc
+    for w in prefix:
+        acc += _log_first_block(N, w, params.alpha, params.theta)
+        N -= w
+    return float(acc)
 
 
 def log_prior_first_r(n: int, r: int, prefix: Sequence[int], params: PypParams) -> float:
@@ -188,33 +220,26 @@ def log_prior_first_r(n: int, r: int, prefix: Sequence[int], params: PypParams) 
     prefix = _check_prefix(n, prefix)
     if len(prefix) != r:
         raise ValueError(f"prefix length {len(prefix)} != r={r}")
-    a, t = params.alpha, params.theta
-    M = sum(prefix)
-    return (_log_multinomial(n, prefix + (n - M,))
-            + _log_crn(n, prefix, a, t)
-            - log_rising(t + n - M, M))
+    return _log_multinomial(n, prefix + (n - sum(prefix),)) + _log_blocks(n, prefix, params)
 
 
 def log_prior_first_r_given_k(n: int, r: int, prefix: Sequence[int], k: int,
                               params: PypParams) -> float:
-    """log Pr[M_{1,n} = m_1, ..., M_{r,n} = m_r | K_n = k]."""
+    """log Pr[M_{1,n} = m_1, ..., M_{r,n} = m_r | K_n = k].
+
+    The n - M points outside the first r blocks form an ordered PYP(alpha,
+    theta) partition, which must hold the other k - r species.
+    """
     prefix = _check_prefix(n, prefix)
     if len(prefix) != r:
         raise ValueError(f"prefix length {len(prefix)} != r={r}")
     if not r <= k <= n:
         raise ValueError(f"need r <= k <= n, got r={r}, k={k}, n={n}")
-    a, t = params.alpha, params.theta
     M = sum(prefix)
     if k - r > n - M:
         return NEG_INF  # not enough residual observations for k-r more species
-    row_sub = log_gen_factorial_scaled_row(n - M, a)
-    row_full = log_gen_factorial_scaled_row(n, a)
-    logpref = 0.0  # log prod_{i=0}^{r-1} (theta + (k-r+i) alpha)
-    for i in range(r):
-        logpref += math.log(t + (k - r + i) * a)
-    return (_log_multinomial(n, prefix + (n - M,))
-            + _log_crn(n, prefix, a, t)
-            + row_sub[k - r] - logpref - row_full[k])
+    return float(log_prior_first_r(n, r, prefix, params)
+                 + _log_dist_Kn(n - M, params)[k - r] - _log_dist_Kn(n, params)[k])
 
 
 @dataclass(frozen=True, eq=False)

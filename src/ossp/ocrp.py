@@ -4,8 +4,7 @@ plus the misspecified generators used in the synthetic studies."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,6 @@ def _freqs_of(partition) -> tuple:
     if isinstance(partition, OrderedPartition):
         return partition.freqs
     return tuple(int(f) for f in partition)
-
-
-@dataclass(frozen=True)
-class OcrpState:
-    """Resumable ordered-CRP state: the partition reached plus its stream seed."""
-
-    partition: OrderedPartition
-    rng_seed: int
 
 
 def ordered_step_probs(partition, params: PypParams):

@@ -4,6 +4,10 @@ Conditioning is on (K_n = k, ordered frequencies m) of the observed sample;
 the laws themselves depend only on (n, m, and the first-r prefix), which is
 asserted by tests. A_r is the event that orders 1..r of the enlarged sample
 are new species, B_r that they are old.
+
+Each law is the prior law of the first r order frequencies at the enlarged
+size n+m, built from the order-1 block factor in `laws` (see its module
+docstring); the B_r branch divides out the same blocks at size n.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from .laws import _check_prefix, _log_crn, _log_multinomial, expected_Kmn
+from .laws import (_check_prefix, _log_blocks, _log_choose, _log_first_block,
+                   _log_multinomial, expected_Kmn)
 from .partition import PypParams
 from .specialfn import log_rising
 
@@ -32,11 +36,7 @@ def log_posterior_first_r_new(n: int, m: int, k: int, r: int,
     w = _check_prefix(m, w_prefix)
     if len(w) != r:
         raise ValueError(f"w_prefix length {len(w)} != r={r}")
-    a, t = params.alpha, params.theta
-    W = sum(w)
-    return (_log_multinomial(m, w + (m - W,))
-            + _log_crn(n + m, w, a, t)
-            - log_rising(t + n + m - W, W))
+    return _log_multinomial(m, w + (m - sum(w),)) + _log_blocks(n + m, w, params)
 
 
 def log_posterior_first_r_old(n: int, m: int, k: int, r: int,
@@ -53,14 +53,9 @@ def log_posterior_first_r_old(n: int, m: int, k: int, r: int,
         raise ValueError(f"w_increments must be r nonnegative integers, got {w}")
     if sum(w) > m:
         raise ValueError(f"increments {w} exceed m={m}")
-    a, t = params.alpha, params.theta
-    W = sum(w)
     wm = tuple(wi + mi for wi, mi in zip(w, mp))
-    WM = sum(wm)
-    M = sum(mp)
-    return (_log_multinomial(m, w + (m - W,))
-            + _log_crn(n + m, wm, a, t) - log_rising(t + n + m - WM, WM)
-            - _log_crn(n, mp, a, t) + log_rising(t + n - M, M))
+    return (_log_multinomial(m, w + (m - sum(w),))
+            + _log_blocks(n + m, wm, params) - _log_blocks(n, mp, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +102,10 @@ def posterior_W1(n: int, m: int, k: int, m1: int, params: PypParams) -> Posterio
         return PosteriorW1(n, m, m1, support, new_mass, old_mass)
 
     w = np.arange(1, m + 1, dtype=np.float64)
-    log_new = (gammaln(m + 1) - gammaln(w + 1) - gammaln(m - w + 1)
-               + np.log(a * (n + m - w) + t * w) - math.log(n + m)
-               - (gammaln(t + n + m) - gammaln(t + n + m - w))
-               + gammaln(w - a) - gammaln(1.0 - a))
-    new_mass[:m] = np.exp(log_new)
-
+    new_mass[:m] = np.exp(_log_choose(m, w) + _log_first_block(n + m, w, a, t))
     j = np.arange(0, m + 1, dtype=np.float64)  # increment over m1
-    wt = m1 + j
-    log_old = (gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-               + np.log(a * (n + m - wt) + t * wt) - math.log(n + m)
-               - (gammaln(t + n + m) - gammaln(t + n + m - wt))
-               + gammaln(wt - a) - gammaln(m1 - a)
-               - math.log(a * (n - m1) + t * m1) + math.log(n)
-               + gammaln(t + n) - gammaln(t + n - m1))
-    old_mass[m1 - 1:] = np.exp(log_old)
+    old_mass[m1 - 1:] = np.exp(_log_choose(m, j) + _log_first_block(n + m, m1 + j, a, t)
+                               - _log_first_block(n, m1, a, t))
     return PosteriorW1(n, m, m1, support, new_mass, old_mass)
 
 
@@ -147,10 +131,8 @@ def expected_W1_parts(n: int, m: int, k: int, m1: int, params: PypParams) -> W1M
     if m == 0:
         return W1Moments(float(m1), 0.0, float(m1), 0.0, 1.0, math.nan, float(m1))
     a, t = params.alpha, params.theta
-    ratio_a = math.exp(log_rising(t + n + 1 - a, m) - log_rising(t + n, m))
-    prob_b1 = n / (n + m) * ratio_a
-    prob_a1 = 1.0 - prob_b1
-    partial_a1 = m / (n + m) * (t + n * a) / (t + n + 1 - a) * ratio_a
+    prob_a1, prob_b1 = prob_A1_B1(n, m, params)
+    partial_a1 = m / n * (t + n * a) / (t + n + 1 - a) * prob_b1
     c = ((a * (n + m - m1) + t * m1) * (m1 + m * (m1 - a) / (t + n - a))
          + (m * (t - a) * (m1 - a) / (t + n - a))
          * ((m1 + 1) + (m - 1) * (m1 + 1 - a) / (t + n + 1 - a)))

@@ -72,6 +72,25 @@ def test_fit_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "-n", "10", "--alpha", "1.5", "--theta", "1"],
+    ["simulate", "-n", "0", "--alpha", "0.5", "--theta", "1"],
+    ["predict", "{csv}", "--m", "-5", "--params-from", "explicit",
+     "--alpha", "0.5", "--theta", "1"],
+    ["study", "--kind", "ordering-dist", "--replicates", "0"],
+    ["fit", "{nan_csv}", "--method", "ordDP"],
+    ["crossval", "{csv}", "--splits", "1", "--train-frac", "1.5"],
+])
+def test_invalid_input_exits_2_with_one_line(capsys, sim_csv, tmp_path, argv):
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("weight,species\n2.0,a\nnan,b\n1.0,c\n", encoding="utf-8")
+    argv = [v.format(csv=sim_csv, nan_csv=nan_csv) for v in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("ossp: ")
+
+
 def test_predict_matches_library(capsys, sim_csv):
     code, out = run_cli(capsys, "predict", sim_csv, "--m", "60", "--curve-points", "4",
                         "--params-from", "explicit", "--alpha", "0.4", "--theta", "5")

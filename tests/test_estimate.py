@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from ossp import (
 )
 from ossp.estimate import ALPHA_MAX, _golden_max, THETA_MAX, THETA_MIN
 from ossp.partition import prefix_stats
+
+from oracles import compositions, multinomial, ordered_eppf_frac
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,12 @@ def test_expected_m1_matches_prior_summation():
         want = sum(m1 * math.exp(log_prior_first_r(n, 1, (m1,), params))
                    for m1 in range(1, n + 1))
         assert expected_M1(n, params) == pytest.approx(want, rel=1e-11)
+        # and, independently of the package, exact rationals for n <= 8
+        a, t = Fraction(params.alpha), Fraction(params.theta)
+        for n in range(1, 9):
+            want = sum(comp[0] * multinomial(n, comp) * ordered_eppf_frac(comp, a, t)
+                       for comp in compositions(n))
+            assert expected_M1(n, params) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_calibration_truth_inside_central_band():

@@ -152,6 +152,17 @@ def test_expected_kmn_vs_summation(params_grid):
             assert expected_Kmn(m, n, k, params) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e-14, 1e-12, 1e-10, 1e-6, 1e-2])
+def test_expected_k_small_alpha_vs_summation(a):
+    # the closed forms must not cancel as alpha -> 0
+    params = PypParams(a, 5.0)
+    want = float(np.arange(1001) @ dist_Kn(1000, params))
+    assert expected_Kn(1000, params) == pytest.approx(want, rel=1e-9)
+    for (m, n, k) in [(300, 50, 10), (400, 1, 1)]:
+        want = float(np.arange(m + 1) @ dist_Kmn(m, n, k, params))
+        assert expected_Kmn(m, n, k, params) == pytest.approx(want, rel=1e-9)
+
+
 def test_prob_oldest_all_i_at_dp_is_linear():
     for i in (1, 250, 999, 1000):
         assert prob_oldest(i, 1000, PypParams(0.0, 10.0)) == i / 1000
@@ -288,7 +299,8 @@ def _cond_prior_enum(n, r, prefix, k, a, t):
                                  (Fraction(3, 4), Fraction(1, 2))])
 def test_prior_given_k_matches_enumeration(a, t):
     params = PypParams(float(a), float(t))
-    cases = [(5, 1, (2,), 2), (6, 2, (2, 1), 3), (6, 1, (3,), 3), (7, 2, (1, 2), 4)]
+    cases = [(5, 1, (2,), 2), (6, 2, (2, 1), 3), (6, 1, (3,), 3), (7, 2, (1, 2), 4),
+             (8, 3, (2, 1, 3), 4), (8, 2, (3, 1), 5), (8, 1, (8,), 1), (6, 3, (1, 2, 3), 3)]
     for (n, r, prefix, k) in cases:
         got = math.exp(log_prior_first_r_given_k(n, r, prefix, k, params))
         want = float(_cond_prior_enum(n, r, prefix, k, a, t))
