@@ -19,7 +19,6 @@ from .partition import (
     write_records_csv,
 )
 from .specialfn import (
-    LogValue,
     log_gen_factorial,
     log_noncentral_gf_scaled,
     log_rising,

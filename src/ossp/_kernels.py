@@ -1,191 +1,105 @@
-"""Hot numeric kernels: log-space triangular recurrences and sequential samplers.
+"""Hot numeric kernels: one log-space triangular recurrence and the sequential samplers.
 
-Kernels are JIT-compiled with numba when it is importable, unless the
-environment variable ``OSSP_NUMBA`` is set to ``0``/``false``/``off``, in
-which case a pure-numpy path is used instead.
+Everything here is plain numpy/Python; there is one implementation of each
+kernel.
 
-Two families live here:
+* Recurrence kernels. The generalized factorial coefficients obey
+  D(n+1,s) = (n - s*alpha - gamma) D(n,s) + D(n,s-1), D(0,0) = 1, written once
+  in ``_gfc_log_rows`` as a row of logs advanced one n at a time. With
+  gamma = 0, D(n,s) is C(n,s;alpha)/alpha^s (at alpha = 0 the unsigned Stirling
+  numbers |s(n,s)|); with gamma < 0 it is the non-central C(n,s;alpha,gamma)/alpha^s.
+  ``gfc_log_row`` and ``gfc_nc_log_row`` return its last row and
+  ``oldest_inv_moments`` reads a moment off every row.
+* Sampler kernels (``ocrp_steps``, ``ocrp_qnew``, ``crp_steps``,
+  ``stable_order_steps``, ``mc_chunk``) consume one uniform per step (per
+  opened cluster for ``stable_order_steps``) and update caller-owned arrays
+  in place.
 
-* recurrence kernels (``gfc_log_row``, ``gfc_nc_log_row``,
-  ``oldest_inv_moments``): the active name is a scalar-loop version under
-  numba, or a row-vectorized numpy version otherwise; both evaluate the same
-  recurrence and agree to ~1e-13 relative.
-* sampler kernels (``ocrp_steps``, ``ocrp_qnew``, ``crp_steps``,
-  ``stable_order_steps``, ``mc_chunk``): one source serves both paths, so
-  they consume an identical uniform stream and produce identical output
-  whether or not the JIT is active.
-
-``PY_IMPLS`` maps kernel names to the fallback callables for benchmarking.
+``mc_chunk`` holds its own reference to ``ocrp_steps``, bound when the module
+is built, rather than looking the name up at each call. Per-layer tracing
+(``bench/tracing.py``) rebinds every module-level name of ``ocrp_steps``; the
+Monte Carlo attempts are counted at ``mc_chunk``, and a global lookup would
+count their inner steps a second time as ``ocrp_steps`` calls.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 NEG_INF = -math.inf
 
 
-def numba_requested() -> bool:
-    return os.environ.get("OSSP_NUMBA", "1").strip().lower() not in {"0", "false", "no", "off"}
-
-
-def _make_jit():
-    if not numba_requested():
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit(cache=True, nogil=True)
-
-
-_njit = _make_jit()
-NUMBA_ACTIVE = _njit is not None
-if _njit is None:
-    def _njit(fn):  # identity decorator: samplers run as plain Python
-        return fn
-
-
 # ---------------------------------------------------------------------------
 # recurrence kernels
-#
-# gfc_log_row: log of C(n,k;alpha)/alpha^k for k = 0..n via the triangular
-# recurrence D(n+1,k) = (n - k*alpha) D(n,k) + D(n,k-1), D(0,0) = 1. At
-# alpha = 0 this is the unsigned Stirling recurrence, so the same cells give
-# the DP limit log|s(n,k)|. All surviving terms are positive, so each cell is
-# a plain log-sum-exp of two terms.
 # ---------------------------------------------------------------------------
 
 
-@_njit
-def _lae(a, b):
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
+def _gfc_log_rows(n, alpha, gamma):
+    """Yield log D(nn, s), s = 0..n, for nn = 0..n: one array updated in place.
 
-
-@_njit
-def _gfc_log_row_scalar(n, alpha):
+    Every surviving term is positive, so each cell is a log-sum-exp of two
+    terms. D(nn,s) > 0 implies s <= nn, so the factor nn - s*alpha - gamma is
+    positive wherever it multiplies a finite cell; the clamped log keeps the
+    other cells -inf. D(nn+1,0) = (nn - gamma) D(nn,0) is zero from nn = 1 on
+    when gamma = 0.
+    """
     row = np.full(n + 1, NEG_INF)
     row[0] = 0.0
+    s_alpha = np.arange(1, n + 1, dtype=np.float64) * alpha
+    yield row
     for nn in range(n):
         hi = min(nn + 1, n)
-        for k in range(hi, 0, -1):
-            keep = NEG_INF
-            if row[k] > NEG_INF:
-                # D(nn,k) > 0 implies k <= nn, hence nn - k*alpha > 0
-                keep = row[k] + math.log(nn - k * alpha)
-            row[k] = _lae(keep, row[k - 1])
-        row[0] = NEG_INF
-    return row
-
-
-def _gfc_log_row_np(n, alpha):
-    row = np.full(n + 1, NEG_INF)
-    row[0] = 0.0
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    for nn in range(n):
-        hi = min(nn + 1, n)
-        # clamped log keeps -inf cells -inf without tripping on nn - k*alpha <= 0
-        fac = np.log(np.maximum(nn - ks[:hi] * alpha, 1e-300))
+        fac = np.log(np.maximum(nn - s_alpha[:hi] - gamma, 1e-300))
         row[1:hi + 1] = np.logaddexp(row[1:hi + 1] + fac, row[0:hi])
-        row[0] = NEG_INF
+        row[0] = row[0] + math.log(nn - gamma) if nn > gamma else NEG_INF
+        yield row
+
+
+def _last_row(n, alpha, gamma):
+    for row in _gfc_log_rows(n, alpha, gamma):
+        pass
     return row
 
 
-@_njit
-def _gfc_nc_log_row_scalar(m, alpha, gamma):
-    row = np.full(m + 1, NEG_INF)
-    row[0] = 0.0
-    log_d0 = 0.0  # log (-gamma)_(mm)
-    for mm in range(m):
-        hi = min(mm + 1, m)
-        for s in range(hi, 0, -1):
-            keep = NEG_INF
-            if row[s] > NEG_INF:
-                keep = row[s] + math.log(mm - s * alpha - gamma)
-            row[s] = _lae(keep, row[s - 1])
-        log_d0 += math.log(mm - gamma)
-        row[0] = log_d0
-    return row
+def gfc_log_row(n, alpha):
+    """log of C(n,k;alpha)/alpha^k for k = 0..n (log|s(n,k)| at alpha = 0)."""
+    return _last_row(n, alpha, 0.0)
 
 
-def _gfc_nc_log_row_np(m, alpha, gamma):
-    row = np.full(m + 1, NEG_INF)
-    row[0] = 0.0
-    ss = np.arange(1, m + 1, dtype=np.float64)
-    log_d0 = 0.0
-    for mm in range(m):
-        hi = min(mm + 1, m)
-        fac = np.log(np.maximum(mm - ss[:hi] * alpha - gamma, 1e-300))
-        row[1:hi + 1] = np.logaddexp(row[1:hi + 1] + fac, row[0:hi])
-        log_d0 += math.log(mm - gamma)
-        row[0] = log_d0
-    return row
+def gfc_nc_log_row(m, alpha, gamma):
+    """log of C(m,s;alpha,gamma)/alpha^s for s = 0..m, gamma < 0."""
+    return _last_row(m, alpha, gamma)
 
 
-@_njit
-def _oldest_inv_moments_scalar(nmax, alpha, theta):
-    out = np.empty(nmax + 1)
-    out[0] = 1.0 / theta  # K_0 = 0
-    row = np.full(nmax + 1, NEG_INF)
-    row[0] = 0.0
-    logpref = np.empty(nmax + 1)  # sum_{i<k} log(theta + i*alpha)
-    logpref[0] = 0.0
-    for k in range(1, nmax + 1):
-        logpref[k] = logpref[k - 1] + math.log(theta + (k - 1) * alpha)
-    log_rise = 0.0  # log (theta)_(j)
-    for j in range(1, nmax + 1):
-        nn = j - 1
-        hi = min(nn + 1, nmax)
-        for k in range(hi, 0, -1):
-            keep = NEG_INF
-            if row[k] > NEG_INF:
-                keep = row[k] + math.log(nn - k * alpha)
-            row[k] = _lae(keep, row[k - 1])
-        row[0] = NEG_INF
-        log_rise += math.log(theta + nn)
-        acc = 0.0
-        for k in range(1, j + 1):
-            acc += math.exp(logpref[k] + row[k] - log_rise) / (theta + alpha * k)
-        out[j] = acc
-    return out
+def oldest_inv_moments(nmax, alpha, theta):
+    """E[1/(theta + alpha K_j)] under PYP(alpha, theta) for j = 0..nmax.
 
-
-def _oldest_inv_moments_np(nmax, alpha, theta):
-    out = np.empty(nmax + 1)
-    out[0] = 1.0 / theta
-    row = np.full(nmax + 1, NEG_INF)
-    row[0] = 0.0
+    Pr[K_j = k] = prod_{i<k} (theta + i*alpha) * C(j,k;alpha)/alpha^k / (theta)_(j),
+    and row j of the recurrence holds log C(j,k;alpha)/alpha^k.
+    """
     k = np.arange(nmax + 1, dtype=np.float64)
     logpref = np.concatenate(([0.0], np.cumsum(np.log(theta + alpha * k[:-1]))))
     inv = 1.0 / (theta + alpha * k)
-    log_rise = 0.0
-    for j in range(1, nmax + 1):
-        nn = j - 1
-        hi = min(nn + 1, nmax)
-        fac = np.log(np.maximum(nn - k[1:hi + 1] * alpha, 1e-300))
-        row[1:hi + 1] = np.logaddexp(row[1:hi + 1] + fac, row[0:hi])
-        row[0] = NEG_INF
-        log_rise += math.log(theta + nn)
+    out = np.empty(nmax + 1)
+    out[0] = 1.0 / theta  # K_0 = 0
+    rows = _gfc_log_rows(nmax, alpha, 0.0)
+    next(rows)
+    log_rise = 0.0  # log (theta)_(j)
+    for j, row in enumerate(rows, 1):
+        log_rise += math.log(theta + (j - 1))
         lp = logpref[1:j + 1] + row[1:j + 1] - log_rise
         out[j] = float(np.exp(lp) @ inv[1:j + 1])
     return out
 
 
 # ---------------------------------------------------------------------------
-# sampler kernels (shared source for both paths)
+# sampler kernels
 # ---------------------------------------------------------------------------
 
 
-def _ocrp_steps_impl(u, alpha, theta, freqs, ids, k, next_id, assign, t0):
+def ocrp_steps(u, alpha, theta, freqs, ids, k, next_id, assign, t0):
     """Advance the ordered CRP by len(u) steps, one uniform per step.
 
     freqs[j] / ids[j] hold the count and creation id of the species at order
@@ -241,7 +155,7 @@ def _ocrp_steps_impl(u, alpha, theta, freqs, ids, k, next_id, assign, t0):
     return k, next_id
 
 
-def _ocrp_qnew_impl(freqs, k, alpha, theta, out):
+def ocrp_qnew(freqs, k, alpha, theta, out):
     """New-table order probabilities q_new[0..k] at the current state."""
     n = 0
     for j in range(k):
@@ -260,7 +174,7 @@ def _ocrp_qnew_impl(freqs, k, alpha, theta, out):
     return n
 
 
-def _crp_steps_impl(u, alpha, theta, sizes, assign, k, n, t0):
+def crp_steps(u, alpha, theta, sizes, assign, k, n, t0):
     """Advance the classical (unordered) CRP; cluster ids follow arrival order."""
     for t in range(u.shape[0]):
         x = u[t] * (theta + n)
@@ -284,7 +198,7 @@ def _crp_steps_impl(u, alpha, theta, sizes, assign, k, n, t0):
     return k
 
 
-def _stable_order_steps_impl(assign, u, freqs, ids, ord_of, k):
+def stable_order_steps(assign, u, freqs, ids, ord_of, k):
     """Insert arriving clusters into the order under the theta->0 stable rule.
 
     The limit of the ordered-PYP new-table law at theta=0 puts weight 1 on
@@ -316,15 +230,9 @@ def _stable_order_steps_impl(assign, u, freqs, ids, ord_of, k):
     return k
 
 
-ocrp_steps = _njit(_ocrp_steps_impl)
-ocrp_qnew = _njit(_ocrp_qnew_impl)
-crp_steps = _njit(_crp_steps_impl)
-stable_order_steps = _njit(_stable_order_steps_impl)
-
-
 def _make_mc_chunk(run_steps):
-    def _mc_chunk_impl(U, alpha, theta, n, m, cond_k, cond_m1, cond_freqs,
-                       freqs, ids, assign, out_kmn, out_w1, out_a1, out_w2, out_a2):
+    def mc_chunk(U, alpha, theta, n, m, cond_k, cond_m1, cond_freqs,
+                 freqs, ids, assign, out_kmn, out_w1, out_a1, out_w2, out_a2):
         """Acceptance-rejection attempts over the rows of U (each n+m uniforms).
 
         A run is accepted when its size-n state matches the condition:
@@ -368,37 +276,7 @@ def _make_mc_chunk(run_steps):
             cnt += 1
         return cnt
 
-    return _mc_chunk_impl
+    return mc_chunk
 
 
-mc_chunk = _njit(_make_mc_chunk(ocrp_steps))
-
-# fallback aliases: plain-Python samplers and numpy recurrences
-ocrp_steps_py = _ocrp_steps_impl
-ocrp_qnew_py = _ocrp_qnew_impl
-crp_steps_py = _crp_steps_impl
-stable_order_steps_py = _stable_order_steps_impl
-mc_chunk_py = _make_mc_chunk(_ocrp_steps_impl)
-gfc_log_row_py = _gfc_log_row_np
-gfc_nc_log_row_py = _gfc_nc_log_row_np
-oldest_inv_moments_py = _oldest_inv_moments_np
-
-if NUMBA_ACTIVE:
-    gfc_log_row = _gfc_log_row_scalar
-    gfc_nc_log_row = _gfc_nc_log_row_scalar
-    oldest_inv_moments = _oldest_inv_moments_scalar
-else:
-    gfc_log_row = _gfc_log_row_np
-    gfc_nc_log_row = _gfc_nc_log_row_np
-    oldest_inv_moments = _oldest_inv_moments_np
-
-PY_IMPLS = {
-    "gfc_log_row": gfc_log_row_py,
-    "gfc_nc_log_row": gfc_nc_log_row_py,
-    "oldest_inv_moments": oldest_inv_moments_py,
-    "ocrp_steps": ocrp_steps_py,
-    "ocrp_qnew": ocrp_qnew_py,
-    "crp_steps": crp_steps_py,
-    "stable_order_steps": stable_order_steps_py,
-    "mc_chunk": mc_chunk_py,
-}
+mc_chunk = _make_mc_chunk(ocrp_steps)

@@ -135,8 +135,10 @@ class OrderingDistribution:
     zero_visit_ks: tuple
 
 
-def ordering_distribution(n: int, params: PypParams, replicates: int, seed,
-                          chunk: int = 4096) -> OrderingDistribution:
+_CHUNK = 4096  # runs per block of uniforms; bounds the memory U takes
+
+
+def ordering_distribution(n: int, params: PypParams, replicates: int, seed) -> OrderingDistribution:
     """Estimate the new-species order law by simulating `replicates` runs."""
     if n < 1 or replicates < 1:
         raise ValueError("need n >= 1 and replicates >= 1")
@@ -151,7 +153,7 @@ def ordering_distribution(n: int, params: PypParams, replicates: int, seed,
     rng = rng_from(seed)
     done = 0
     while done < replicates:
-        b = min(chunk, replicates - done)
+        b = min(_CHUNK, replicates - done)
         U = rng.random((b, n))
         for row in U:
             k, _ = _kernels.ocrp_steps(row, a, t, freqs, ids, 0, 0, assign, 0)

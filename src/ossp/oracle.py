@@ -16,6 +16,7 @@ from .laws import log_ordered_eppf
 
 ENUMERATION_CAP = 9
 EXACT_ORDERING_CAP = 12
+_CHUNK = 8192  # attempts per mc_chunk call; fixes how the uniform stream is cut
 
 
 class CapExceeded(ValueError):
@@ -150,8 +151,7 @@ class ConditionalMC:
 
 
 def conditional_mc(n: int, m: int, params: PypParams, replicates: int, seed,
-                   k: int = None, m1: int = None, freqs: Sequence[int] = None,
-                   chunk: int = 8192) -> ConditionalMC:
+                   k: int = None, m1: int = None, freqs: Sequence[int] = None) -> ConditionalMC:
     """Acceptance-rejection sampler conditioned on size-n statistics.
 
     Runs the ordered CRP to size n, accepts runs matching the condition
@@ -171,22 +171,22 @@ def conditional_mc(n: int, m: int, params: PypParams, replicates: int, seed,
     buf_f = np.zeros(n + m, dtype=np.int64)
     buf_i = np.zeros(n + m, dtype=np.int64)
     buf_a = np.zeros(n + m, dtype=np.int64)
-    out_kmn = np.empty(chunk, dtype=np.int64)
-    out_w1 = np.empty(chunk, dtype=np.int64)
-    out_a1 = np.empty(chunk, dtype=np.int64)
-    out_w2 = np.empty(chunk, dtype=np.int64)
-    out_a2 = np.empty(chunk, dtype=np.int64)
+    out_kmn = np.empty(_CHUNK, dtype=np.int64)
+    out_w1 = np.empty(_CHUNK, dtype=np.int64)
+    out_a1 = np.empty(_CHUNK, dtype=np.int64)
+    out_w2 = np.empty(_CHUNK, dtype=np.int64)
+    out_a2 = np.empty(_CHUNK, dtype=np.int64)
     kmn, w1, a1, w2, a2 = [], [], [], [], []
     accepted = 0
     raw_accepted = 0
     attempts = 0
     rng = rng_from(seed)
     while accepted < replicates:
-        U = rng.random((chunk, n + m))
+        U = rng.random((_CHUNK, n + m))
         got = int(_kernels.mc_chunk(U, a, t, n, m, cond_k, cond_m1, cond_freqs,
                                     buf_f, buf_i, buf_a, out_kmn, out_w1, out_a1,
                                     out_w2, out_a2))
-        attempts += chunk
+        attempts += _CHUNK
         raw_accepted += got
         take = min(got, replicates - accepted)
         kmn.append(out_kmn[:take].copy())

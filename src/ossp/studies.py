@@ -190,6 +190,8 @@ def crossval(records, splits: int, train_frac: float, seed: int,
     and quantity; record="band" rows carry the 2.5/50/97.5 percent empirical
     quantiles of the predicted curves across splits at each partial size.
     """
+    if splits < 1:
+        raise ValueError(f"splits must be >= 1, got {splits}")
     if not 0.0 <= train_frac <= 1.0:  # also refuses nan
         raise ValueError(f"train_frac must be in [0, 1], got {train_frac}")
     records = list(records)

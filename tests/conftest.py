@@ -1,35 +1,6 @@
-import numpy as np
 import pytest
 
 from ossp import PypParams
-from ossp import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure runtime, not compile."""
-    _kernels.gfc_log_row(4, 0.5)
-    _kernels.gfc_log_row(4, 0.0)
-    _kernels.gfc_nc_log_row(4, 0.5, -2.0)
-    _kernels.gfc_nc_log_row(4, 0.0, -2.0)
-    _kernels.oldest_inv_moments(4, 0.5, 1.0)
-    freqs = np.zeros(8, dtype=np.int64)
-    ids = np.zeros(8, dtype=np.int64)
-    assign = np.zeros(8, dtype=np.int64)
-    _kernels.ocrp_steps(np.linspace(0.1, 0.9, 5), 0.5, 1.0, freqs, ids, 0, 0, assign, 0)
-    qbuf = np.empty(8)
-    _kernels.ocrp_qnew(freqs, 2, 0.5, 1.0, qbuf)
-    _kernels.crp_steps(np.linspace(0.1, 0.9, 5), 0.5, 1.0, freqs, assign, 0, 0, 0)
-    _kernels.stable_order_steps(np.array([0, 1, 0], dtype=np.int64),
-                                np.array([0.2, 0.7, 0.1]),
-                                np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                                np.zeros(4, dtype=np.int64), 0)
-    U = np.random.default_rng(0).random((4, 5))
-    out = np.zeros(4, dtype=np.int64)
-    _kernels.mc_chunk(U, 0.5, 1.0, 3, 2, -1, -1, np.zeros(0, dtype=np.int64),
-                      np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64),
-                      np.zeros(8, dtype=np.int64), out.copy(), out.copy(), out.copy(),
-                      out.copy(), out.copy())
 
 
 @pytest.fixture

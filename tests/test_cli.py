@@ -80,6 +80,7 @@ def test_fit_missing_file(capsys):
     ["study", "--kind", "ordering-dist", "--replicates", "0"],
     ["fit", "{nan_csv}", "--method", "ordDP"],
     ["crossval", "{csv}", "--splits", "1", "--train-frac", "1.5"],
+    ["crossval", "{csv}", "--splits", "0", "--train-frac", "0.5"],
 ])
 def test_invalid_input_exits_2_with_one_line(capsys, sim_csv, tmp_path, argv):
     nan_csv = tmp_path / "nan.csv"

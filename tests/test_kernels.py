@@ -1,73 +1,41 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from ossp import _kernels
 from ossp._rng import rng_from
 
-
-def test_recurrence_fallbacks_agree_with_active():
-    for n in (1, 7, 40):
-        for a in (0.0, 0.3, 0.9):
-            got = _kernels.gfc_log_row(n, a)
-            ref = _kernels.gfc_log_row_py(n, a)
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-    for (m, a, g) in [(1, 0.5, -2.0), (12, 0.0, -3.5), (25, 0.7, -10.0)]:
-        got = _kernels.gfc_nc_log_row(m, a, g)
-        ref = _kernels.gfc_nc_log_row_py(m, a, g)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-    got = _kernels.oldest_inv_moments(30, 0.5, 1.5)
-    ref = _kernels.oldest_inv_moments_py(30, 0.5, 1.5)
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
+N, M, ALPHA, THETA = 5, 3, 0.5, 1.0
 
 
-def test_sampler_paths_bit_identical():
-    # the jitted sampler and the plain-Python source consume the same
-    # uniforms and must agree exactly
-    u = rng_from(123).random(60)
-    state = {}
-    for name, fn in (("active", _kernels.ocrp_steps), ("py", _kernels.ocrp_steps_py)):
-        freqs = np.zeros(60, dtype=np.int64)
-        ids = np.zeros(60, dtype=np.int64)
-        assign = np.zeros(60, dtype=np.int64)
-        k, nid = fn(u, 0.45, 1.3, freqs, ids, 0, 0, assign, 0)
-        state[name] = (k, nid, freqs.copy(), ids.copy(), assign.copy())
-    assert state["active"][0] == state["py"][0]
-    for a, b in zip(state["active"][2:], state["py"][2:]):
-        np.testing.assert_array_equal(a, b)
+def reference_mc(U, accept):
+    """One ordered CRP per row of U, run with ocrp_steps: N steps, then M more
+    for the runs whose ordered size-N frequency vector f satisfies accept(f).
+    Returns (K_M^(N), W_1, A_1, W_2, A_2) per accepted run, with W_2 = A_2 = 0
+    when the enlarged sample holds one species."""
+    rows = []
+    for u in U:
+        freqs, ids, assign = (np.zeros(N + M, dtype=np.int64) for _ in range(3))
+        kn, next_id = _kernels.ocrp_steps(u[:N], ALPHA, THETA, freqs, ids, 0, 0, assign, 0)
+        if not accept(list(freqs[:kn])):
+            continue
+        k, _ = _kernels.ocrp_steps(u[N:], ALPHA, THETA, freqs, ids, kn, next_id, assign, N)
+        two = k >= 2
+        rows.append((k - kn, freqs[0], int(ids[0] >= kn),
+                     freqs[1] if two else 0, int(two and ids[1] >= kn)))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
 
-def test_mc_chunk_paths_bit_identical():
-    U = rng_from(9).random((512, 8))
-    outs = {}
-    for name, fn in (("active", _kernels.mc_chunk), ("py", _kernels.mc_chunk_py)):
-        buf = lambda: np.zeros(8, dtype=np.int64)  # noqa: E731
-        o_kmn, o_w1, o_a1 = (np.zeros(512, dtype=np.int64) for _ in range(3))
-        o_w2, o_a2 = (np.zeros(512, dtype=np.int64) for _ in range(2))
-        cnt = fn(U, 0.5, 1.0, 5, 3, 2, 3, np.zeros(0, dtype=np.int64),
-                 buf(), buf(), buf(), o_kmn, o_w1, o_a1, o_w2, o_a2)
-        outs[name] = (cnt, o_kmn.copy(), o_w1.copy(), o_a1.copy(), o_w2.copy(), o_a2.copy())
-    assert outs["active"][0] == outs["py"][0]
-    for a, b in zip(outs["active"][1:], outs["py"][1:]):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_env_flag_disables_numba():
-    code = ("import ossp._kernels as k; "
-            "print(k.NUMBA_ACTIVE, k.gfc_log_row is k.gfc_log_row_py)")
-    env = dict(os.environ, OSSP_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_py_impls_registry_complete():
-    expected = {"gfc_log_row", "gfc_nc_log_row", "oldest_inv_moments",
-                "ocrp_steps", "ocrp_qnew", "crp_steps", "stable_order_steps",
-                "mc_chunk"}
-    assert set(_kernels.PY_IMPLS) == expected
-    for fn in _kernels.PY_IMPLS.values():
-        assert callable(fn)
+@pytest.mark.parametrize("cond_k, cond_m1, cond_freqs, accept", [
+    pytest.param(-1, -1, [3, 1, 1], lambda f: f == [3, 1, 1], id="freqs"),
+    pytest.param(2, 3, [], lambda f: len(f) == 2 and f[0] == 3, id="k_m1"),
+    pytest.param(-1, -1, [], lambda f: True, id="none"),
+])
+def test_mc_chunk_matches_reference_loop(cond_k, cond_m1, cond_freqs, accept):
+    U = rng_from(9).random((512, N + M))
+    outs = [np.zeros(512, dtype=np.int64) for _ in range(5)]
+    bufs = [np.zeros(N + M, dtype=np.int64) for _ in range(3)]
+    cnt = _kernels.mc_chunk(U, ALPHA, THETA, N, M, cond_k, cond_m1,
+                            np.asarray(cond_freqs, dtype=np.int64), *bufs, *outs)
+    ref = reference_mc(U, accept)
+    assert cnt == len(ref) > 0
+    np.testing.assert_array_equal(np.stack([o[:cnt] for o in outs], axis=1), ref)
